@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
-	"slices"
 	"testing"
 
 	"genasm/internal/seq"
@@ -243,38 +242,6 @@ func TestHashIndexStats(t *testing.T) {
 	if st.Backend != BackendHash || st.K != 11 || st.MinimizerW != 0 ||
 		st.RefLen != 2000 || st.Seeds != 2000-11+1 || st.Buckets == 0 || st.Bytes <= 0 {
 		t.Errorf("stats = %+v", st)
-	}
-}
-
-// TestFlattenRoundTrip checks the serialization export: sorted distinct
-// keys, monotone offsets bracketing each key's ascending location run.
-func TestFlattenRoundTrip(t *testing.T) {
-	ref := testRef(3000, 16)
-	idx, err := Build(ref, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, offs, locs := idx.Flatten()
-	if len(offs) != len(keys)+1 || offs[0] != 0 || int(offs[len(offs)-1]) != len(locs) {
-		t.Fatalf("offsets malformed: %d keys, %d offs, %d locs", len(keys), len(offs), len(locs))
-	}
-	if !slices.IsSorted(keys) {
-		t.Error("keys not sorted")
-	}
-	if len(locs) != idx.Seeds() {
-		t.Errorf("%d locs, %d seeds", len(locs), idx.Seeds())
-	}
-	for i, key := range keys {
-		span := locs[offs[i]:offs[i+1]]
-		if len(span) == 0 {
-			t.Fatalf("key %d has empty span", key)
-		}
-		for _, p := range span {
-			kmer := ref[p : int(p)+idx.K()]
-			if pack(kmer) != key {
-				t.Fatalf("loc %d under key %d packs to %d", p, key, pack(kmer))
-			}
-		}
 	}
 }
 

@@ -19,7 +19,7 @@ type SeedIndex interface {
 	// shared with the index and must not be modified.
 	Ref() []byte
 	// CandidateLocationsInto runs the seeding step with caller-owned
-	// scratch; see Index.CandidateLocationsInto for the contract.
+	// scratch; see TableIndex.CandidateLocationsInto for the contract.
 	CandidateLocationsInto(s *SeedScratch, read []byte, maxCandidates int) []Candidate
 	// Stats describes the index: backend, parameters and footprint.
 	Stats() Stats
@@ -84,18 +84,17 @@ type binAgg struct {
 // of reads reuses one scratch per worker instead of reallocating per read.
 // The zero value is ready to use; a SeedScratch must not be shared between
 // concurrent calls. Every SeedIndex backend funnels its seed hits through
-// the same scratch via Begin/Vote/Collect, so candidate aggregation
+// the same scratch via begin/vote/collect, so candidate aggregation
 // (binning, tie-breaking, ordering) is identical across backends by
-// construction — including backends implemented outside this package, such
-// as mmap-loaded index files.
+// construction.
 type SeedScratch struct {
 	exact map[int]int
 	bins  map[int]binAgg
 	cands []Candidate
 }
 
-// Begin readies the scratch for one read.
-func (s *SeedScratch) Begin() {
+// begin readies the scratch for one read.
+func (s *SeedScratch) begin() {
 	if s.exact == nil {
 		s.exact = make(map[int]int, 128)
 		s.bins = make(map[int]binAgg, 16)
@@ -104,16 +103,16 @@ func (s *SeedScratch) Begin() {
 	clear(s.bins)
 }
 
-// Vote records one seed hit implying the read starts at start.
-func (s *SeedScratch) Vote(start int) { s.exact[start]++ }
+// vote records one seed hit implying the read starts at start.
+func (s *SeedScratch) vote(start int) { s.exact[start]++ }
 
-// Collect aggregates the recorded votes into the ranked candidate list.
+// collect aggregates the recorded votes into the ranked candidate list.
 // Votes are pooled in bins to tolerate indel drift, but each bin reports
 // its most-voted exact start so downstream aligners get a precise anchor.
 // Candidates come back most-voted first (position ascending on ties),
 // capped at maxCandidates (0 = no cap); the slice views s.cands and stays
 // valid until the scratch's next use.
-func (s *SeedScratch) Collect(maxCandidates int) []Candidate {
+func (s *SeedScratch) collect(maxCandidates int) []Candidate {
 	const bin = 16 // indel drift tolerance
 	for start, v := range s.exact {
 		b, ok := s.bins[start/bin]

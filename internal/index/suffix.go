@@ -80,7 +80,7 @@ func (si *SuffixIndex) Stats() Stats {
 // codes outside the DNA alphabet cast no votes. The hot path performs no
 // allocations: the searches are manual loops over the shared array.
 func (si *SuffixIndex) CandidateLocationsInto(s *SeedScratch, read []byte, maxCandidates int) []Candidate {
-	s.Begin()
+	s.begin()
 	k := si.k
 	lastBad := -1
 	for i, c := range read {
@@ -94,10 +94,10 @@ func (si *SuffixIndex) CandidateLocationsInto(s *SeedScratch, read []byte, maxCa
 		}
 		lo, hi := si.searchRange(read[off : off+k])
 		for _, p := range si.sa[lo:hi] {
-			s.Vote(int(p) - off)
+			s.vote(int(p) - off)
 		}
 	}
-	return s.Collect(maxCandidates)
+	return s.collect(maxCandidates)
 }
 
 // cmpPrefix compares the suffix starting at p against kmer over at most

@@ -17,6 +17,9 @@ func FuzzIndexFile(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 3, 3}, uint8(4), uint8(0))
 	f.Add(bytes.Repeat([]byte{1, 0, 2}, 40), uint8(7), uint8(1))
 	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 2, 1}, 30), uint8(11), uint8(2))
+	f.Add([]byte{0, 1, 2, 3, 3, 2, 1, 0, 0, 0, 3}, uint8(0), uint8(0))                  // k=1
+	f.Add(bytes.Repeat([]byte{2, 0, 3, 1, 1, 0, 2}, 12), uint8(index.MaxK-1), uint8(0)) // k=31
+	f.Add(bytes.Repeat([]byte{3, 3, 0, 1}, 20), uint8(index.MaxK-1), uint8(4))          // k=31, minimizer w=2
 
 	f.Fuzz(func(t *testing.T, raw []byte, kByte, backendByte uint8) {
 		// Direction 1: hostile image straight into the decoder.

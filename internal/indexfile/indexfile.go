@@ -3,9 +3,10 @@
 // the "build once, load instantly" workflow Minimap2-class mappers ship
 // as .mmi files. Where `index.Build` is an O(n) rebuild on every server
 // start, a written index loads in O(1): the file is mmapped and the big
-// arrays (hash buckets and locations, or the suffix array) are served
-// zero-copy straight out of the mapping. Platforms without mmap fall back
-// to reading the file into RAM.
+// arrays (the seed table of the hash backends, or the suffix array) are
+// served zero-copy straight out of the mapping, as the very arrays the
+// in-memory index uses. Platforms without mmap fall back to reading the
+// file into RAM.
 //
 // # Format
 //
@@ -17,7 +18,7 @@
 //
 //	header (72 bytes):
 //	  [8]byte  magic "GASMIDX\x01"
-//	  u32      version (currently 1)
+//	  u32      version (currently 2)
 //	  u32      byte-order mark 0x01020304
 //	  u32      backend (1=hash, 2=minimizer, 3=suffixarray)
 //	  u32      k, u32 w (minimizer window; 0 for unsampled backends)
@@ -26,14 +27,21 @@
 //	  u64      numKeys (hash backends: distinct k-mers; suffix array: 0)
 //	  u64      numLocs (hash backends: seed positions; suffix array: refLen)
 //	  u64      reference digest (CRC-64/ECMA over the encoded bases)
-//	  u64      reserved
+//	  u64      numDir (hash backends: directory entries; suffix array: 0)
 //	sections (each zero-padded to 8 bytes):
 //	  refName  raw bytes
 //	  ref      2-bit packed bases, 4 per byte
-//	  hash backends: keys []u64 ascending · offs [numKeys+1]u32 · locs []i32
-//	  suffix array:  sa []i32
+//	  hash backends (the arrays of index.TableIndex):
+//	    dir [numDir]u32 · keys [numKeys]u64 ascending ·
+//	    offs [numKeys+1]u32 · locs [numLocs]i32
+//	  suffix array:  sa [refLen]i32
 //	trailer:
 //	  u32      CRC-32C over everything before the trailer
+//
+// Version 2 added the directory section (dir: the seed table's bucket
+// directory, whose size index.NewTableIndex checks against numLocs and k).
+// Version 1 files have none and fail to load with ErrVersion; rebuild them
+// with `genasm index build`.
 //
 // Load verifies the magic, version, byte order, structural bounds, the
 // whole-file checksum and the reference digest, and bounds-checks every
@@ -69,7 +77,7 @@ var (
 )
 
 // Version is the current format version.
-const Version = 1
+const Version = 2
 
 const (
 	backendHash        = 1
@@ -93,17 +101,6 @@ var (
 // CRC-64/ECMA over the encoded (2-bit codes) reference bases. Two files
 // built from the same reference share it regardless of backend.
 func RefDigest(ref []byte) uint64 { return crc64.Checksum(ref, digestTable) }
-
-// flattener is how hash-family backends export their bucket structure;
-// *index.Index and the mmap-loaded flatIndex both implement it.
-type flattener interface {
-	Flatten() (keys []uint64, offs []uint32, locs []int32)
-}
-
-// suffixer is how the suffix-array backend exports its payload.
-type suffixer interface {
-	SA() []int32
-}
 
 // backendCode maps a SeedIndex to its on-disk backend tag.
 func backendCode(idx index.SeedIndex) (uint32, error) {
@@ -132,23 +129,19 @@ func Write(w io.Writer, idx index.SeedIndex, refName string) error {
 	st := idx.Stats()
 	ref := idx.Ref()
 
-	var keys []uint64
-	var offs []uint32
-	var locs []int32
-	var sa []int32
-	switch backend {
-	case backendHash, backendMinimizer:
-		f, ok := idx.(flattener)
-		if !ok {
-			return fmt.Errorf("indexfile: %s backend does not expose Flatten", st.Backend)
-		}
-		keys, offs, locs = f.Flatten()
-	case backendSuffixArray:
-		sx, ok := idx.(suffixer)
-		if !ok {
-			return fmt.Errorf("indexfile: %s backend does not expose SA", st.Backend)
-		}
-		sa = sx.SA()
+	// The backend payload: the seed table's arrays, or the suffix array.
+	var numKeys, numLocs, numDir int
+	var payload [][]byte
+	switch x := idx.(type) {
+	case *index.TableIndex:
+		keys, offs, locs, dir := x.Table()
+		numKeys, numLocs, numDir = len(keys), len(locs), len(dir)
+		payload = [][]byte{sliceBytes(dir), sliceBytes(keys), sliceBytes(offs), sliceBytes(locs)}
+	case *index.SuffixIndex:
+		numLocs = len(x.SA())
+		payload = [][]byte{sliceBytes(x.SA())}
+	default:
+		return fmt.Errorf("indexfile: cannot serialize %T", idx)
 	}
 
 	var hdr [headerSize]byte
@@ -160,50 +153,19 @@ func Write(w io.Writer, idx index.SeedIndex, refName string) error {
 	ne.PutUint32(hdr[24:], uint32(st.MinimizerW))
 	ne.PutUint32(hdr[28:], uint32(len(refName)))
 	ne.PutUint64(hdr[32:], uint64(len(ref)))
-	ne.PutUint64(hdr[40:], uint64(len(keys)))
-	if backend == backendSuffixArray {
-		ne.PutUint64(hdr[48:], uint64(len(sa)))
-	} else {
-		ne.PutUint64(hdr[48:], uint64(len(locs)))
-	}
+	ne.PutUint64(hdr[40:], uint64(numKeys))
+	ne.PutUint64(hdr[48:], uint64(numLocs))
 	ne.PutUint64(hdr[56:], RefDigest(ref))
+	ne.PutUint64(hdr[64:], uint64(numDir))
 
 	crc := crc32.New(crcTable)
 	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), 1<<20)
-	emit := func(b []byte) error {
-		if _, err := bw.Write(b); err != nil {
+	for _, sec := range append([][]byte{hdr[:], []byte(refName), packRef(ref)}, payload...) {
+		if _, err := bw.Write(sec); err != nil {
 			return err
 		}
-		if pad := (8 - len(b)%8) % 8; pad > 0 {
-			var zeros [8]byte
-			if _, err := bw.Write(zeros[:pad]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := emit(hdr[:]); err != nil {
-		return err
-	}
-	if err := emit([]byte(refName)); err != nil {
-		return err
-	}
-	if err := emit(packRef(ref)); err != nil {
-		return err
-	}
-	switch backend {
-	case backendHash, backendMinimizer:
-		if err := emit(sliceBytes(keys)); err != nil {
-			return err
-		}
-		if err := emit(sliceBytes(offs)); err != nil {
-			return err
-		}
-		if err := emit(sliceBytes(locs)); err != nil {
-			return err
-		}
-	case backendSuffixArray:
-		if err := emit(sliceBytes(sa)); err != nil {
+		var zeros [8]byte
+		if _, err := bw.Write(zeros[:(8-len(sec)%8)%8]); err != nil {
 			return err
 		}
 	}
@@ -381,6 +343,7 @@ func decode(data []byte, closer func() error, mapped bool) (*File, error) {
 	numKeys := ne.Uint64(data[40:])
 	numLocs := ne.Uint64(data[48:])
 	digest := ne.Uint64(data[56:])
+	numDir := ne.Uint64(data[64:])
 
 	if k < 1 || k > index.MaxK {
 		return nil, fmt.Errorf("%w: seed length %d out of range [1,%d]", ErrCorrupt, k, index.MaxK)
@@ -391,8 +354,8 @@ func decode(data []byte, closer func() error, mapped bool) (*File, error) {
 	if refLen > uint64(1)<<40 || uint64(k) > refLen {
 		return nil, fmt.Errorf("%w: reference length %d with k=%d", ErrCorrupt, refLen, k)
 	}
-	if numKeys > numLocs || numLocs > refLen {
-		return nil, fmt.Errorf("%w: %d keys / %d locations over a %d-base reference", ErrCorrupt, numKeys, numLocs, refLen)
+	if numKeys > numLocs || numLocs > refLen || numDir > refLen+1 {
+		return nil, fmt.Errorf("%w: %d keys / %d locations / %d directory entries over a %d-base reference", ErrCorrupt, numKeys, numLocs, numDir, refLen)
 	}
 
 	// Walk the section table, bounds-checking every step.
@@ -431,6 +394,10 @@ func decode(data []byte, closer func() error, mapped bool) (*File, error) {
 		} else if w != 0 {
 			return nil, fmt.Errorf("%w: hash backend with window %d", ErrCorrupt, w)
 		}
+		dirB, err := sec.take(int(numDir)*4, "directory")
+		if err != nil {
+			return nil, err
+		}
 		keysB, err := sec.take(int(numKeys)*8, "keys")
 		if err != nil {
 			return nil, err
@@ -443,24 +410,20 @@ func decode(data []byte, closer func() error, mapped bool) (*File, error) {
 		if err != nil {
 			return nil, err
 		}
-		fi := &flatIndex{
-			k: k, w: w, minimizer: backend == backendMinimizer, ref: ref,
-			keys: viewSlice[uint64](keysB),
-			offs: viewSlice[uint32](offsB),
-			locs: viewSlice[int32](locsB),
+		ti, err := index.NewTableIndex(ref, k, w, viewSlice[uint64](keysB), viewSlice[uint32](offsB),
+			viewSlice[int32](locsB), viewSlice[uint32](dirB))
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		if err := fi.validate(); err != nil {
-			return nil, err
-		}
-		idx = fi
-		info.Seeds, info.Buckets = len(fi.locs), len(fi.keys)
+		idx = ti
+		info.Seeds, info.Buckets = int(numLocs), int(numKeys)
 	case backendSuffixArray:
 		info.Backend = index.BackendSuffixArray
 		if w != 0 {
 			return nil, fmt.Errorf("%w: suffix-array backend with window %d", ErrCorrupt, w)
 		}
-		if numLocs != refLen || numKeys != 0 {
-			return nil, fmt.Errorf("%w: suffix-array lengths keys=%d locs=%d ref=%d", ErrCorrupt, numKeys, numLocs, refLen)
+		if numLocs != refLen || numKeys != 0 || numDir != 0 {
+			return nil, fmt.Errorf("%w: suffix-array lengths keys=%d locs=%d dir=%d ref=%d", ErrCorrupt, numKeys, numLocs, numDir, refLen)
 		}
 		saB, err := sec.take(int(refLen)*4, "suffix array")
 		if err != nil {
@@ -519,10 +482,15 @@ func packRef(ref []byte) []byte {
 	return out
 }
 
-// unpackRef expands packed bases back to one code per byte.
+// unpackRef expands packed bases back to one code per byte, a whole
+// packed byte per step: it runs on every load, over the whole reference.
 func unpackRef(packed []byte, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
+	for j, b := range packed[:n/4] {
+		o := out[4*j : 4*j+4 : 4*j+4]
+		o[0], o[1], o[2], o[3] = b&3, b>>2&3, b>>4&3, b>>6
+	}
+	for i := n / 4 * 4; i < n; i++ {
 		out[i] = packed[i/4] >> uint(2*(i%4)) & 3
 	}
 	return out

@@ -115,8 +115,8 @@ func TestRoundTripAllBackends(t *testing.T) {
 	}
 }
 
-// TestRewriteLoadedIndex checks Write accepts a loaded index too: the flat
-// form round-trips to an identical file.
+// TestRewriteLoadedIndex checks Write accepts a loaded index too: the
+// mmapped seed table round-trips to an identical file.
 func TestRewriteLoadedIndex(t *testing.T) {
 	ref := testRef(5000, 23)
 	built := buildBackend(t, index.BackendHash, ref, 11, 0)
@@ -169,6 +169,15 @@ func TestCorruptFiles(t *testing.T) {
 	}
 	good := buf.Bytes()
 
+	// The directory section follows the name and packed-reference sections.
+	_, _, _, dir := built.(*index.TableIndex).Table()
+	dirOff := headerSize + pad8(len("corrupt-me")) + pad8((len(ref)+3)/4)
+	numKeys := uint32(built.Stats().Buckets)
+	setDir := func(i int, v uint32) func(b []byte) {
+		return func(b []byte) { ne.PutUint32(b[dirOff+4*i:], v) }
+	}
+	last := len(dir) - 1
+
 	// refix returns a copy with one field patched and the trailer CRC
 	// recomputed, isolating the field validation from the checksum.
 	refix := func(mutate func(b []byte)) []byte {
@@ -196,6 +205,13 @@ func TestCorruptFiles(t *testing.T) {
 		{"reflen larger than file", refix(func(b []byte) { ne.PutUint64(b[32:], 1<<32) }), ErrCorrupt},
 		{"more keys than locs", refix(func(b []byte) { ne.PutUint64(b[40:], 1<<20) }), ErrCorrupt},
 		{"wrong digest", refix(func(b []byte) { ne.PutUint64(b[56:], 0xdeadbeef) }), ErrCorrupt},
+		{"directory length short", refix(func(b []byte) { ne.PutUint64(b[64:], uint64(len(dir)-1)) }), ErrCorrupt},
+		{"directory length long", refix(func(b []byte) { ne.PutUint64(b[64:], uint64(len(dir)+1)) }), ErrCorrupt},
+		{"directory length huge", refix(func(b []byte) { ne.PutUint64(b[64:], 1<<62) }), ErrCorrupt},
+		{"directory not monotone", refix(setDir(last/2, dir[last/2+1]+1)), ErrCorrupt},
+		{"directory last entry not numKeys", refix(setDir(last, numKeys-1)), ErrCorrupt},
+		{"directory entry above numKeys", refix(setDir(last/2, numKeys+1)), ErrCorrupt},
+		{"version 1 image", version1Image(t, good, dirOff, len(dir)), ErrVersion},
 		{"flipped payload byte", func() []byte {
 			b := append([]byte(nil), good...)
 			b[headerSize+40] ^= 0xff
@@ -231,6 +247,23 @@ func TestCorruptFiles(t *testing.T) {
 
 func crc32Of(b []byte) uint32 {
 	return crc32.Checksum(b, crcTable)
+}
+
+func pad8(n int) int { return n + (8-n%8)%8 }
+
+// version1Image turns a version-2 hash-backend image into the version-1
+// layout: no directory section and a zero reserved header word.
+func version1Image(t *testing.T, v2 []byte, dirOff, numDir int) []byte {
+	t.Helper()
+	if ne.Uint32(v2[16:]) != backendHash {
+		t.Fatal("version1Image needs a hash-backend image")
+	}
+	b := append([]byte(nil), v2[:dirOff]...)
+	b = append(b, v2[dirOff+pad8(4*numDir):]...)
+	ne.PutUint32(b[8:], 1)
+	ne.PutUint64(b[64:], 0)
+	ne.PutUint32(b[len(b)-4:], crc32Of(b[:len(b)-4]))
+	return b
 }
 
 // TestLoadMissingFile pins the pass-through of filesystem errors.

@@ -252,7 +252,7 @@ func New(ref []byte, cfg Config) (*Mapper, error) {
 	if err != nil {
 		return nil, err
 	}
-	var idx *index.Index
+	var idx *index.TableIndex
 	if cfg.MinimizerW > 0 {
 		idx, err = index.BuildMinimizer(ref, cfg.SeedK, cfg.MinimizerW)
 	} else {
@@ -281,17 +281,6 @@ func NewFromIndex(idx index.SeedIndex, cfg Config) (*Mapper, error) {
 
 // Index exposes the underlying seed index.
 func (m *Mapper) Index() index.SeedIndex { return m.idx }
-
-// HashIndex returns the concrete hash/minimizer index, or nil when the
-// Mapper runs on a different backend.
-//
-// Deprecated: use Index; the pipeline no longer assumes a hash backend.
-func (m *Mapper) HashIndex() *index.Index {
-	if hi, ok := m.idx.(*index.Index); ok {
-		return hi
-	}
-	return nil
-}
 
 // MapRead maps one encoded read, trying both strands, and returns the
 // lowest-edit-distance alignment across all surviving candidates.
